@@ -13,6 +13,13 @@ path, on the full MAS workload, with configuration-level parity asserted
 in ``benchmarks/results/perf_core.txt`` and ``perf_core.json`` (the
 README performance table is generated from the JSON).  ``--smoke``
 shrinks the workload for CI, where the step is advisory.
+
+The same run times **cold join inference** on ``mas`` and ``wide``: the
+pre-compilation solver (``repro.fuzz.reference_joins``, full top-k)
+against the compiled solver in the ties-only mode the serving front ends
+use, with ranked-list parity asserted and the ``wide`` speedup gated at
+``JOIN_SPEEDUP_GATE`` (``perf_core_joins.txt``).  The snapshot's
+``machine.cpus`` records the CPU count.
 """
 
 import json
@@ -32,7 +39,7 @@ from repro.core.keyword_mapper import KeywordMapper
 from repro.core.qfg import QueryFragmentGraph
 from repro.datasets import load_dataset
 from repro.embedding.model import CompositeModel
-from repro.schema_graph import JoinGraph, steiner_tree
+from repro.schema_graph import CompiledJoinGraph, JoinGraph, steiner_tree
 
 #: Required warm-path speedup of indexed+beam MAPKEYWORDS over the seed.
 SPEEDUP_GATE = 3.0
@@ -49,6 +56,13 @@ JOURNAL_OVERHEAD_GATE_PCT = 5.0
 #: + a memoized fragment digest under a lock); SLO evaluation itself is
 #: scrape-cadence work and never runs on the request path.
 SLO_OVERHEAD_GATE_PCT = 5.0
+
+#: Required cold join-inference speedup on ``wide``: the compiled,
+#: ties-only serving call against the pre-compilation solver, same run.
+JOIN_SPEEDUP_GATE = 10.0
+
+#: Case-stream seed of the join phase's relation bags (the loadtest's).
+JOIN_SEED = 2019
 
 PASSES = 3
 
@@ -187,6 +201,129 @@ def bench_mapkeywords(smoke: bool) -> dict:
         "per_request_seed_ms": seed_s * 1000.0 / len(requests),
         "per_request_indexed_ms": warm_s * 1000.0 / len(requests),
     }
+
+
+def _relation_bags(dataset, qfg, count: int) -> list[list[str]]:
+    """Distinct relation bags of the fuzz case stream's configurations.
+
+    The bags a cold request hands join inference: the stream's (mutated)
+    keywords, mapped to their top configurations as the serving front
+    ends ask for them.
+    """
+    import random
+
+    from repro.fuzz import build_pool, case_stream, synonym_map
+
+    name = dataset.name
+    mapper = KeywordMapper(
+        dataset.database, CompositeModel(dataset.lexicon), qfg=qfg
+    )
+    synonyms = synonym_map(dataset.lexicon)
+    pools = {name: build_pool(random.Random(JOIN_SEED), name,
+                              dataset.usable_items())}
+    bags: dict[tuple[str, ...], None] = {}
+    for case in case_stream(JOIN_SEED, count, pools):
+        keywords = case.mutated_keywords(synonyms)
+        for configuration in mapper.map_keywords(keywords, limit=10):
+            bag = configuration.relation_bag()
+            if bag:
+                bags[tuple(bag)] = None
+    return [list(bag) for bag in bags]
+
+
+def _solve_counts(generator, bags, reference: bool) -> int:
+    """Steiner solves the old (``reference``) or new serving call makes."""
+    from repro.fuzz import reference_joins
+    from repro.schema_graph import steiner
+
+    module = reference_joins if reference else steiner
+    original = module.steiner_tree
+    solves = 0
+
+    def counted(*args, **kwargs):
+        nonlocal solves
+        solves += 1
+        return original(*args, **kwargs)
+
+    module.steiner_tree = counted
+    try:
+        for bag in bags:
+            if reference:
+                reference_joins.reference_infer(generator, bag)
+            else:
+                generator.infer(bag, ties_only=True)
+    finally:
+        module.steiner_tree = original
+    return solves
+
+
+def bench_join_inference(smoke: bool) -> dict:
+    """Cold INFERJOINS: the pre-compilation solver vs the compiled one.
+
+    Each dataset's bags are timed one call at a time, best of
+    ``PASSES``, in the same run: the reference is the old serving call
+    (full top-k, weights re-evaluated per relaxation), the new one is
+    what the serving front ends call now (compiled graph, ties-only).
+    Parity is asserted first: the full ranked lists (signature and
+    cost) agree in top-k mode, the tied prefixes in ties-only mode.
+    """
+    from repro.core.join_inference import JoinPathGenerator
+    from repro.fuzz.reference_joins import reference_infer, tie_prefix
+
+    def ranked(paths):
+        return [(path.tree.signature(), path.cost) for path in paths]
+
+    def percentile(samples, fraction):
+        ordered = sorted(samples)
+        return ordered[min(len(ordered) - 1, int(fraction * len(ordered)))]
+
+    result: dict = {}
+    for name in ("mas", "wide"):
+        dataset = load_dataset(name)
+        log = QueryLog([item.gold_sql for item in dataset.usable_items()])
+        qfg = log.build_qfg(dataset.database.catalog)
+        bags = _relation_bags(dataset, qfg, 40 if smoke else 200)
+        generator = JoinPathGenerator(dataset.database.catalog, qfg=qfg)
+        for bag in bags:
+            expected = reference_infer(generator, bag)
+            assert ranked(generator.infer(bag)) == expected, (
+                f"top-k parity broken for {bag}"
+            )
+            assert ranked(generator.infer(bag, ties_only=True)) == (
+                tie_prefix(expected)
+            ), f"ties-only parity broken for {bag}"
+
+        timings = {}
+        for label, call in (
+            ("reference", lambda bag: reference_infer(generator, bag)),
+            ("compiled", lambda bag: generator.infer(bag, ties_only=True)),
+        ):
+            best = [float("inf")] * len(bags)
+            for _ in range(PASSES):
+                for i, bag in enumerate(bags):
+                    started = time.perf_counter()
+                    call(bag)
+                    best[i] = min(best[i], time.perf_counter() - started)
+            timings[label] = [seconds * 1000.0 for seconds in best]
+        graph = JoinGraph.from_catalog(dataset.database.catalog)
+        compile_started = time.perf_counter()
+        CompiledJoinGraph(graph, generator.weight_fn(), {})
+        compile_ms = (time.perf_counter() - compile_started) * 1000.0
+
+        for label, samples in timings.items():
+            result[f"join_{name}_{label}_ms"] = sum(samples)
+            result[f"join_{name}_{label}_p50_ms"] = percentile(samples, 0.5)
+            result[f"join_{name}_{label}_p99_ms"] = percentile(samples, 0.99)
+            result[f"join_{name}_{label}_solves_per_call"] = (
+                _solve_counts(generator, bags, label == "reference") / len(bags)
+            )
+        result[f"join_{name}_bags"] = len(bags)
+        result[f"join_{name}_compile_ms"] = compile_ms
+        result[f"join_{name}_speedup"] = (
+            result[f"join_{name}_reference_ms"]
+            / result[f"join_{name}_compiled_ms"]
+        )
+    return result
 
 
 def bench_engine(smoke: bool) -> dict:
@@ -502,6 +639,7 @@ def main(argv: list[str]) -> int:
     result.update(bench_tracing_overhead(smoke))
     result.update(bench_journal_overhead(smoke))
     result.update(bench_slo_overhead(smoke))
+    result.update(bench_join_inference(smoke))
 
     rows = [[
         result["workload"].upper(),
@@ -524,6 +662,32 @@ def main(argv: list[str]) -> int:
         f"(best of {PASSES}, parity asserted; gate >= {SPEEDUP_GATE:.0f}x)",
         table,
     )
+    join_rows = [
+        [
+            name.upper(),
+            str(result[f"join_{name}_bags"]),
+            label,
+            f"{result[f'join_{name}_{label}_ms']:.1f}",
+            f"{result[f'join_{name}_{label}_p50_ms']:.2f}",
+            f"{result[f'join_{name}_{label}_p99_ms']:.2f}",
+            f"{result[f'join_{name}_{label}_solves_per_call']:.2f}",
+        ]
+        for name in ("mas", "wide")
+        for label in ("reference", "compiled")
+    ]
+    publish(
+        "perf_core_joins",
+        f"Cold INFERJOINS: pre-compilation solver (top-k) vs compiled "
+        f"solver (ties-only), best of {PASSES} per call, parity asserted; "
+        f"gate >= {JOIN_SPEEDUP_GATE:.0f}x on wide",
+        format_rows(
+            [
+                "Workload", "bags", "solver", "total (ms)", "p50 (ms)",
+                "p99 (ms)", "solves/call",
+            ],
+            join_rows,
+        ),
+    )
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "perf_core.json").write_text(json.dumps(result, indent=1))
     snapshot = emit_snapshot(
@@ -538,11 +702,17 @@ def main(argv: list[str]) -> int:
                 "journal_overhead_pct", "journal_hit_delta_ns",
                 "warm_monitored_us", "warm_unmonitored_us",
                 "slo_overhead_pct",
+            ) + tuple(
+                key for key in result
+                if key.startswith("join_") and not key.endswith("_bags")
             )
         },
         config={
             "workload": result["workload"],
             "requests": result["requests"],
+            "join_bags": {
+                name: result[f"join_{name}_bags"] for name in ("mas", "wide")
+            },
             "passes": PASSES,
             "smoke": smoke,
         },
@@ -583,6 +753,14 @@ def main(argv: list[str]) -> int:
             file=sys.stderr,
         )
         failed = failed or not advisory_speedup
+    if result["join_wide_speedup"] < JOIN_SPEEDUP_GATE:
+        print(
+            f"{'NOTE' if advisory_speedup else 'FAIL'}: cold join inference "
+            f"speedup on wide {result['join_wide_speedup']:.1f}x is below "
+            f"the {JOIN_SPEEDUP_GATE:.0f}x gate",
+            file=sys.stderr,
+        )
+        failed = failed or not advisory_speedup
     if failed:
         return 1
     print(
@@ -595,6 +773,8 @@ def main(argv: list[str]) -> int:
         f"hit delta {result['journal_hit_delta_ns']:+.0f} ns), "
         f"SLO+drift overhead {result['slo_overhead_pct']:+.1f}% "
         f"(gate {SLO_OVERHEAD_GATE_PCT:.0f}%), "
+        f"cold join speedup on wide {result['join_wide_speedup']:.1f}x "
+        f"(gate {JOIN_SPEEDUP_GATE:.0f}x), "
         f"parity held on {result['requests']} requests"
     )
     return 0

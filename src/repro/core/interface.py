@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from repro.core.fragments import FragmentContext, Obscurity, QueryFragment
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KeywordMetadata:
     """Parser metadata M_k = (τ, ω, F, g) for one keyword.
 
@@ -38,7 +38,7 @@ class KeywordMetadata:
     limit: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Keyword:
     """One NLQ keyword (possibly multi-word) plus its metadata."""
 
@@ -58,7 +58,7 @@ def keywords_cache_key(keywords: list[Keyword] | tuple[Keyword, ...]) -> tuple:
     return tuple(keywords)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QueryFragmentMapping:
     """Definition 4: (keyword, query fragment, similarity score)."""
 
@@ -70,7 +70,7 @@ class QueryFragmentMapping:
         return f"{self.keyword.text!r} -> {self.fragment} ({self.score:.3f})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Configuration:
     """Definition 5: one mapping per keyword, with aggregate scores.
 

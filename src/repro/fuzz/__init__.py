@@ -2,7 +2,7 @@
 
 Deterministic, seed-driven case generation (:mod:`~repro.fuzz.generator`,
 :mod:`~repro.fuzz.mutators`) over the paper benchmark and a generated
-100+-table schema, checked by four oracles that need no gold SQL
+100+-table schema, checked by five oracles that need no gold SQL
 (:mod:`~repro.fuzz.oracles`), with a shrinker (:mod:`~repro.fuzz.shrink`)
 and a committed regression corpus (:mod:`~repro.fuzz.corpus`).  See
 ``docs/fuzzing.md`` for the operator guide.

@@ -13,7 +13,7 @@ File layout (``schema_version`` 1)::
     {
       "schema_version": 1,
       "id": "<sha256 of the canonical case, first 12 hex>",
-      "oracle": "beam" | "cache" | "gateway" | "mutation" | "self_test",
+      "oracle": "beam" | "cache" | "gateway" | "mutation" | "joins" | "self_test",
       "found": "<ISO date or free text — when/how it was found>",
       "note": "<what went wrong, and the fix if known>",
       "case": { ...FuzzCase payload... }

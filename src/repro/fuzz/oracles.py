@@ -15,6 +15,11 @@ passes when every applicable oracle agrees — no annotation needed:
 * **mutation** — semantics-preserving mutations (see
   :mod:`repro.fuzz.mutators`) must not change the top-ranked fragment
   set (:meth:`~repro.core.interface.Configuration.fragment_key_set`).
+* **joins** — the compiled join solver must return, for every relation
+  bag the case's configurations imply, the same full ranked list
+  (signature and cost) as the pre-compilation reference solver
+  (:mod:`repro.fuzz.reference_joins`) in top-k mode, and the same tied
+  prefix in ties-only mode, under log and unit weights.
 
 Each oracle returns ``None`` on agreement or a JSON-plain violation
 record; the runner turns unexpected exceptions into ``crash`` records.
@@ -29,11 +34,13 @@ from pathlib import Path
 from repro.api import Engine, EngineConfig
 from repro.core.candidate_index import CandidateIndex
 from repro.core.fragments import Obscurity
+from repro.core.join_inference import JoinPathGenerator
 from repro.core.keyword_mapper import KeywordMapper, ScoringParams
 from repro.core.log import QueryLog
 from repro.embedding import CompositeModel
 from repro.fuzz.generator import FuzzCase
 from repro.fuzz.mutators import synonym_map
+from repro.fuzz.reference_joins import reference_infer, tie_prefix
 from repro.gateway import Gateway, GatewayConfig, TenantConfig
 from repro.serving.wire import TranslationRequest, result_to_dict
 
@@ -46,7 +53,7 @@ DEFAULT_WORKLOADS = ("mas", "wide")
 #: ranking (same discipline as ``tests/test_beam_search.py``).
 _REFERENCE_PARAMS = ScoringParams(max_configurations=10_000_000)
 
-ORACLES = ("beam", "cache", "gateway", "mutation")
+ORACLES = ("beam", "cache", "gateway", "mutation", "joins")
 
 
 def response_signature(response, limit: int | None) -> tuple:
@@ -73,6 +80,10 @@ class WorkloadContext:
     synonyms: dict
     reference_mappers: dict = field(default_factory=dict)
     beam_mappers: dict = field(default_factory=dict)
+    #: obscurity -> log-weighted generator, plus ``None`` -> unit weights
+    join_generators: dict = field(default_factory=dict)
+    #: (generator key, relation bag) pairs the joins oracle already passed
+    joins_checked: set = field(default_factory=set)
     engine_cached: Engine | None = None
     engine_uncached: Engine | None = None
     engine_control_plane: Engine | None = None
@@ -91,6 +102,9 @@ class WorkloadContext:
             dataset=dataset,
             synonyms=synonym_map(dataset.lexicon),
         )
+        ctx.join_generators[None] = JoinPathGenerator(
+            database.catalog, use_log_weights=False
+        )
         for obscurity in Obscurity:
             qfg = log.build_qfg(database.catalog, obscurity)
             ctx.reference_mappers[obscurity] = KeywordMapper(
@@ -100,6 +114,9 @@ class WorkloadContext:
             ctx.beam_mappers[obscurity] = KeywordMapper(
                 database, model, qfg=qfg, params=_REFERENCE_PARAMS,
                 candidate_index=index,
+            )
+            ctx.join_generators[obscurity] = JoinPathGenerator(
+                database.catalog, qfg=qfg
             )
         ctx.engine_cached = Engine.from_config(EngineConfig(dataset=name))
         ctx.engine_uncached = Engine.from_config(
@@ -245,11 +262,44 @@ class FuzzContext:
             )
         return None
 
+    def check_joins(self, case: FuzzCase) -> dict | None:
+        """Compiled join solver ≡ the reference solver, full ranked lists."""
+        ctx = self.workloads[case.workload]
+        obscurity = Obscurity(case.obscurity)
+        configurations = ctx.beam_mappers[obscurity].map_keywords(
+            case.mutated_keywords(ctx.synonyms), limit=case.limit
+        )
+        for configuration in configurations:
+            bag = configuration.relation_bag()
+            if not bag:
+                continue
+            for key in (obscurity, None):
+                if (key, tuple(bag)) in ctx.joins_checked:
+                    continue
+                generator = ctx.join_generators[key]
+                expected = reference_infer(generator, bag)
+                for ties_only, want in (
+                    (False, expected), (True, tie_prefix(expected)),
+                ):
+                    got = [
+                        (path.tree.signature(), path.cost)
+                        for path in generator.infer(bag, ties_only=ties_only)
+                    ]
+                    if got != want:
+                        return _violation(
+                            "joins", case,
+                            f"bag {bag} ({'unit' if key is None else 'log'} "
+                            f"weights, ties_only={ties_only}): compiled "
+                            f"solver returned {got!r}, reference {want!r}",
+                        )
+                ctx.joins_checked.add((key, tuple(bag)))
+        return None
+
     def check_case(self, case: FuzzCase) -> dict | None:
         """Run every applicable oracle; first violation wins."""
         for oracle in (
             self.check_beam, self.check_cache,
-            self.check_gateway, self.check_mutation,
+            self.check_gateway, self.check_mutation, self.check_joins,
         ):
             violation = oracle(case)
             if violation is not None:
@@ -263,6 +313,7 @@ class FuzzContext:
             "cache": self.check_cache,
             "gateway": self.check_gateway,
             "mutation": self.check_mutation,
+            "joins": self.check_joins,
         }[oracle]
 
     # ------------------------------------------------------------- helpers

@@ -11,7 +11,7 @@ from repro.sql.ast import Query
 from repro.sql.writer import write_query
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TranslationResult:
     """One ranked SQL translation of an NLQ.
 

@@ -86,16 +86,13 @@ class NalirNLIDB(NLIDB):
                 continue
             try:
                 with stage("join_inference"):
-                    paths = self._joins.infer(bag)
+                    paths = self._joins.infer(bag, ties_only=True)
             except GraphError:
                 continue
             if not paths:
                 continue
             # Tied-cost join paths all surface (see PipelineNLIDB._realize).
-            best_cost = paths[0].cost
             for path in paths[:3]:
-                if path.cost > best_cost + 1e-9:
-                    break
                 try:
                     query = build_sql(configuration, path, self.database.catalog)
                 except TranslationError:

@@ -72,24 +72,20 @@ class PipelineNLIDB(NLIDB):
         When several join paths tie at the optimal cost, each becomes a
         result: the system genuinely cannot choose between them, and the
         evaluation's tie rule scores that honestly (Section VI-A2 — log
-        weights exist precisely to remove such ties).
+        weights exist precisely to remove such ties).  The generator's
+        ties-only mode returns exactly those paths.
         """
         bag = configuration.relation_bag()
         if not bag:
             return []
         with stage("join_inference"):
             try:
-                paths = self._joins.infer(bag)
+                paths = self._joins.infer(bag, ties_only=True)
             except GraphError:
                 return []
-        if not paths:
-            return []
-        best_cost = paths[0].cost
         results: list[TranslationResult] = []
         with stage("sql_generation"):
             for path in paths[:3]:
-                if path.cost > best_cost + 1e-9:
-                    break
                 try:
                     query = build_sql(configuration, path, self.database.catalog)
                 except TranslationError:

@@ -13,6 +13,7 @@ own instance.
 
 from __future__ import annotations
 
+import sys
 from collections import defaultdict
 
 from repro.core.fragments import FragmentContext, FragmentKind, QueryFragment
@@ -61,9 +62,13 @@ class _Builder:
     # ------------------------------------------------------------- aliases
 
     def _assign_aliases(self) -> dict[str, str]:
-        """instance -> alias, deterministic (t1, t2, ... in sorted order)."""
+        """instance -> alias, deterministic (t1, t2, ... in sorted order).
+
+        Interned: cached translations hold these strings in every column
+        and table reference, so each alias exists once per process.
+        """
         return {
-            instance: f"t{index + 1}"
+            instance: sys.intern(f"t{index + 1}")
             for index, instance in enumerate(self.join_path.instances)
         }
 

@@ -9,10 +9,17 @@ self-join FORK procedure (Algorithm 4).
 """
 
 from repro.schema_graph.fork import fork_for_duplicates
-from repro.schema_graph.graph import JoinEdge, JoinGraph, JoinTree, SchemaGraph
+from repro.schema_graph.graph import (
+    CompiledJoinGraph,
+    JoinEdge,
+    JoinGraph,
+    JoinTree,
+    SchemaGraph,
+)
 from repro.schema_graph.steiner import steiner_tree, top_k_steiner_trees
 
 __all__ = [
+    "CompiledJoinGraph",
     "JoinEdge",
     "JoinGraph",
     "JoinTree",

@@ -13,14 +13,14 @@ Two views of the same schema:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from repro.db.catalog import Catalog
 from repro.errors import GraphError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JoinEdge:
     """One FK-PK join opportunity between two relation instances.
 
@@ -138,7 +138,77 @@ class JoinGraph:
         )
 
 
-@dataclass(frozen=True)
+class CompiledJoinGraph:
+    """A :class:`JoinGraph` with integer-indexed adjacency and fixed weights.
+
+    Instances are numbered in name order, so comparing two indices orders
+    them exactly as comparing the names would (the solver's heap breaks
+    distance ties on the vertex).  Equal edges share one id and one
+    weight; ``adjacency[i]`` lists ``(weight, neighbor, edge id)`` in the
+    graph's own neighbor order, duplicates included.  The weights are
+    evaluated once, here: rebuild whenever they may change.
+
+    ``pair_weights`` memoizes weights by (source relation, target
+    relation) across compilations; pass it only for weight functions that
+    ignore the edge itself (the unit and log weights do), so FORK clones
+    reuse their original relation's weight.
+    """
+
+    __slots__ = (
+        "graph", "names", "index", "edges", "edge_ids", "endpoints",
+        "weights", "adjacency",
+    )
+
+    def __init__(
+        self,
+        graph: JoinGraph,
+        weight_fn: WeightFn,
+        pair_weights: dict[tuple[str, str], float] | None = None,
+    ) -> None:
+        self.graph = graph
+        self.names = sorted(graph.instances)
+        self.index = {name: i for i, name in enumerate(self.names)}
+        self.edges: list[JoinEdge] = []
+        self.edge_ids: dict[JoinEdge, int] = {}
+        self.endpoints: list[tuple[int, int]] = []
+        self.weights: list[float] = []
+        for edge in graph.edges:
+            if edge in self.edge_ids:
+                continue
+            if pair_weights is None:
+                weight = graph.edge_weight(edge, weight_fn)
+            else:
+                pair = (
+                    graph.relation_of(edge.source),
+                    graph.relation_of(edge.target),
+                )
+                weight = pair_weights.get(pair)
+                if weight is None:
+                    weight = graph.edge_weight(edge, weight_fn)
+                    pair_weights[pair] = weight
+            if weight < 0:
+                raise GraphError(f"negative edge weight on {edge}")
+            self.edge_ids[edge] = len(self.edges)
+            self.edges.append(edge)
+            self.endpoints.append(
+                (self.index[edge.source], self.index[edge.target])
+            )
+            self.weights.append(weight)
+        self.adjacency: list[tuple[tuple[float, int, int], ...]] = []
+        for name in self.names:
+            row = []
+            for edge in graph.neighbors(name):
+                edge_id = self.edge_ids[edge]
+                row.append(
+                    (self.weights[edge_id], self.index[edge.other(name)], edge_id)
+                )
+            self.adjacency.append(tuple(row))
+
+    def weight(self, edge: JoinEdge) -> float:
+        return self.weights[self.edge_ids[edge]]
+
+
+@dataclass(frozen=True, slots=True)
 class JoinTree:
     """A join path: a tree of instances connected by FK-PK edges.
 

@@ -15,6 +15,12 @@ partitioning scheme.  It is exhaustive enough for Templar's purposes
 (ranked join path lists over schema graphs with tens of vertices); it is
 not a provably exact k-best enumeration, which the paper does not require
 either.
+
+Both solve on a :class:`~repro.schema_graph.graph.CompiledJoinGraph`:
+the weights are evaluated once per compilation instead of once per
+relaxation.  A plain :class:`JoinGraph` is compiled on the way in.  The
+trees and costs are exactly those of the pre-compilation solver, which
+:mod:`repro.fuzz.reference_joins` keeps as a differential oracle.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from typing import Iterable
 
 from repro.errors import GraphError
 from repro.schema_graph.graph import (
+    CompiledJoinGraph,
     JoinEdge,
     JoinGraph,
     JoinTree,
@@ -35,65 +42,90 @@ from repro.schema_graph.graph import (
 #: Tolerance for float weight accumulation.
 _EPS = 1e-12
 
+#: Cost slack within which two trees tie (the serving front ends' rule).
+TIE_TOLERANCE = 1e-9
+
+_INF = float("inf")
+
+
+def _compiled(
+    graph: JoinGraph | CompiledJoinGraph, weight_fn: WeightFn
+) -> CompiledJoinGraph:
+    if isinstance(graph, CompiledJoinGraph):
+        return graph
+    return CompiledJoinGraph(graph, weight_fn)
+
 
 def _dijkstra(
-    graph: JoinGraph,
-    source: str,
-    weight_fn: WeightFn,
-    banned: frozenset[JoinEdge],
-) -> tuple[dict[str, float], dict[str, JoinEdge]]:
-    """Single-source shortest paths; returns (distance, predecessor edge)."""
-    distance: dict[str, float] = {source: 0.0}
-    predecessor: dict[str, JoinEdge] = {}
-    heap: list[tuple[float, str]] = [(0.0, source)]
-    settled: set[str] = set()
+    graph: CompiledJoinGraph,
+    source: int,
+    terminals: set[int],
+    banned: frozenset[int],
+) -> tuple[list[float], list[int]]:
+    """Shortest paths from ``source`` until every terminal is settled.
+
+    Returns (distance, predecessor edge id) indexed by instance.  A
+    settled vertex's distance and predecessor never change afterwards,
+    so stopping early leaves every terminal's entries as a full run
+    would; unreached vertices keep distance infinity.
+    """
+    distance = [_INF] * len(graph.names)
+    predecessor = [-1] * len(graph.names)
+    settled = bytearray(len(graph.names))
+    adjacency = graph.adjacency
+    distance[source] = 0.0
+    heap: list[tuple[float, int]] = [(0.0, source)]
+    remaining = len(terminals)
     while heap:
         dist, node = heapq.heappop(heap)
-        if node in settled:
+        if settled[node]:
             continue
-        settled.add(node)
-        for edge in graph.neighbors(node):
-            if edge in banned:
+        settled[node] = 1
+        if node in terminals:
+            remaining -= 1
+            if not remaining:
+                break
+        for weight, other, edge_id in adjacency[node]:
+            if edge_id in banned:
                 continue
-            weight = graph.edge_weight(edge, weight_fn)
-            if weight < 0:
-                raise GraphError(f"negative edge weight on {edge}")
-            other = edge.other(node)
             candidate = dist + weight
-            if candidate < distance.get(other, float("inf")) - _EPS:
+            if candidate < distance[other] - _EPS:
                 distance[other] = candidate
-                predecessor[other] = edge
+                predecessor[other] = edge_id
                 heapq.heappush(heap, (candidate, other))
     return distance, predecessor
 
 
 def _path_edges(
-    predecessor: dict[str, JoinEdge], source: str, target: str
+    graph: CompiledJoinGraph, predecessor: list[int], source: int, target: int
 ) -> list[JoinEdge]:
     """Reconstruct the edge list of the shortest path source → target."""
     edges: list[JoinEdge] = []
     node = target
     while node != source:
-        edge = predecessor.get(node)
-        if edge is None:
-            raise GraphError(f"no path to {target!r}")
-        edges.append(edge)
-        node = edge.other(node)
+        edge_id = predecessor[node]
+        if edge_id < 0:
+            raise GraphError(f"no path to {graph.names[target]!r}")
+        edges.append(graph.edges[edge_id])
+        start, end = graph.endpoints[edge_id]
+        node = end if node == start else start
     edges.reverse()
     return edges
 
 
 def steiner_tree(
-    graph: JoinGraph,
+    graph: JoinGraph | CompiledJoinGraph,
     terminals: Iterable[str],
     weight_fn: WeightFn = unit_weight,
     banned: frozenset[JoinEdge] = frozenset(),
 ) -> JoinTree | None:
     """KMB Steiner tree spanning ``terminals``; None if disconnected.
 
-    A single terminal yields a zero-edge tree (the bare relation).
+    A single terminal yields a zero-edge tree (the bare relation).  A
+    compiled graph carries its own weights and ignores ``weight_fn``.
     """
-    terminal_list = validate_terminals(graph, terminals)
+    compiled = _compiled(graph, weight_fn)
+    terminal_list = validate_terminals(compiled.graph, terminals)
     unique_terminals = list(dict.fromkeys(terminal_list))
     if len(unique_terminals) == 1:
         only = unique_terminals[0]
@@ -105,11 +137,18 @@ def steiner_tree(
         )
 
     # 1. Metric closure over terminals.
-    shortest: dict[str, tuple[dict[str, float], dict[str, JoinEdge]]] = {}
+    index = compiled.index
+    edge_ids = compiled.edge_ids
+    banned_ids = frozenset(edge_ids[edge] for edge in banned if edge in edge_ids)
+    targets = {index[terminal] for terminal in unique_terminals}
+    shortest: dict[str, tuple[list[float], list[int]]] = {}
     for terminal in unique_terminals:
-        shortest[terminal] = _dijkstra(graph, terminal, weight_fn, banned)
+        shortest[terminal] = _dijkstra(
+            compiled, index[terminal], targets, banned_ids
+        )
 
-    # 2. MST of the closure (Prim over terminals).
+    # 2. MST of the closure (Prim over terminals).  ``in_tree`` stays a
+    # set of names: its iteration order breaks equal-distance ties.
     in_tree = {unique_terminals[0]}
     closure_edges: list[tuple[str, str]] = []
     while len(in_tree) < len(unique_terminals):
@@ -119,8 +158,8 @@ def steiner_tree(
             for outside in unique_terminals:
                 if outside in in_tree:
                     continue
-                dist = distances.get(outside)
-                if dist is None:
+                dist = distances[index[outside]]
+                if dist == _INF:
                     continue
                 if best is None or dist < best[0] - _EPS:
                     best = (dist, inside, outside)
@@ -134,17 +173,19 @@ def steiner_tree(
     selected_edges: set[JoinEdge] = set()
     for inside, outside in closure_edges:
         _, predecessor = shortest[inside]
-        selected_edges.update(_path_edges(predecessor, inside, outside))
+        selected_edges.update(
+            _path_edges(compiled, predecessor, index[inside], index[outside])
+        )
 
     # 4. MST of the induced subgraph, then prune non-terminal leaves.
-    tree_edges = _mst_of_edges(graph, selected_edges, weight_fn)
+    tree_edges = _mst_of_edges(compiled, selected_edges)
     tree_edges = _prune_leaves(tree_edges, set(unique_terminals))
 
     vertices: set[str] = set(unique_terminals)
     for edge in tree_edges:
         vertices.add(edge.source)
         vertices.add(edge.target)
-    cost = sum(graph.edge_weight(edge, weight_fn) for edge in tree_edges)
+    cost = sum(compiled.weight(edge) for edge in tree_edges)
     return JoinTree(
         vertices=frozenset(vertices),
         edges=frozenset(tree_edges),
@@ -153,9 +194,7 @@ def steiner_tree(
     )
 
 
-def _mst_of_edges(
-    graph: JoinGraph, edges: set[JoinEdge], weight_fn: WeightFn
-) -> set[JoinEdge]:
+def _mst_of_edges(graph: CompiledJoinGraph, edges: set[JoinEdge]) -> set[JoinEdge]:
     """Kruskal MST restricted to ``edges`` (the induced subgraph)."""
     parent: dict[str, str] = {}
 
@@ -176,7 +215,7 @@ def _mst_of_edges(
     ordered = sorted(
         edges,
         key=lambda e: (
-            graph.edge_weight(e, weight_fn),
+            graph.weight(e),
             e.source,
             e.source_column,
             e.target,
@@ -210,21 +249,33 @@ def _prune_leaves(edges: set[JoinEdge], terminals: set[str]) -> set[JoinEdge]:
 
 
 def top_k_steiner_trees(
-    graph: JoinGraph,
+    graph: JoinGraph | CompiledJoinGraph,
     terminals: Iterable[str],
     k: int,
     weight_fn: WeightFn = unit_weight,
+    *,
+    ties_only: bool = False,
 ) -> list[JoinTree]:
-    """Up to ``k`` distinct Steiner trees in non-decreasing cost order.
+    """Up to ``k`` distinct Steiner trees, in the order they are popped.
 
     Partitioning enumeration: each discovered tree spawns candidate
     subproblems that ban one of its edges.  Trees are deduplicated by edge
-    signature.
+    signature.  The order is *not* guaranteed to be non-decreasing in
+    cost: KMB is an approximation, so a child re-solved with one more
+    banned edge can cost less than its parent and is then popped after
+    it.
+
+    A tree's children are solved only when the next tree is needed, so
+    the last tree returned never pays for its own.  ``ties_only`` stops
+    at the first tree costing more than the first one (beyond
+    :data:`TIE_TOLERANCE`): the result is then exactly the leading run of
+    the full list that the serving front ends keep.
     """
     if k <= 0:
         return []
-    terminal_list = validate_terminals(graph, terminals)
-    first = steiner_tree(graph, terminal_list, weight_fn)
+    compiled = _compiled(graph, weight_fn)
+    terminal_list = validate_terminals(compiled.graph, terminals)
+    first = steiner_tree(compiled, terminal_list)
     if first is None:
         return []
 
@@ -236,22 +287,38 @@ def top_k_steiner_trees(
         (first.cost, counter, first, frozenset())
     ]
     explored_bans: set[frozenset[JoinEdge]] = {frozenset()}
+    # The last accepted tree, whose children are not solved yet.
+    unexpanded: tuple[JoinTree, frozenset[JoinEdge]] | None = None
 
-    while heap and len(results) < k:
-        cost, _, tree, banned = heapq.heappop(heap)
-        if tree.signature() in seen_signatures:
-            continue
-        seen_signatures.add(tree.signature())
-        results.append(tree)
-        for edge in tree.sorted_edges():
-            new_banned = banned | {edge}
-            if new_banned in explored_bans:
-                continue
-            explored_bans.add(new_banned)
-            candidate = steiner_tree(graph, terminal_list, weight_fn, new_banned)
-            if candidate is not None and candidate.signature() not in seen_signatures:
-                counter += 1
-                heapq.heappush(
-                    heap, (candidate.cost, counter, candidate, new_banned)
+    while len(results) < k:
+        if unexpanded is not None:
+            tree, banned = unexpanded
+            unexpanded = None
+            for edge in tree.sorted_edges():
+                new_banned = banned | {edge}
+                if new_banned in explored_bans:
+                    continue
+                explored_bans.add(new_banned)
+                candidate = steiner_tree(
+                    compiled, terminal_list, banned=new_banned
                 )
+                if (
+                    candidate is not None
+                    and candidate.signature() not in seen_signatures
+                ):
+                    counter += 1
+                    heapq.heappush(
+                        heap, (candidate.cost, counter, candidate, new_banned)
+                    )
+        if not heap:
+            break
+        cost, _, tree, banned = heapq.heappop(heap)
+        signature = tree.signature()
+        if signature in seen_signatures:
+            continue
+        if ties_only and results and cost > results[0].cost + TIE_TOLERANCE:
+            break
+        seen_signatures.add(signature)
+        results.append(tree)
+        unexpanded = (tree, banned)
     return results

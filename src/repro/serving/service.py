@@ -96,14 +96,16 @@ class CachingJoinPathGenerator:
         self.cache = cache
         self._revision = revision_fn
 
-    def infer(self, relation_bag: list[str]) -> list[JoinPath]:
-        key = (tuple(relation_bag), self._revision())
+    def infer(
+        self, relation_bag: list[str], ties_only: bool = False
+    ) -> list[JoinPath]:
+        key = (tuple(relation_bag), self._revision(), ties_only)
         return self.cache.get_or_compute(
-            key, lambda: self.inner.infer(relation_bag)
+            key, lambda: self.inner.infer(relation_bag, ties_only=ties_only)
         )
 
     def best(self, relation_bag: list[str]) -> JoinPath | None:
-        paths = self.infer(relation_bag)
+        paths = self.infer(relation_bag, ties_only=True)
         return paths[0] if paths else None
 
     def __getattr__(self, name: str):

@@ -17,7 +17,7 @@ from typing import Iterator, Union
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ColumnRef:
     """A possibly-qualified column reference, e.g. ``p.year`` or ``year``."""
 
@@ -28,7 +28,7 @@ class ColumnRef:
         return f"{self.qualifier}.{self.column}" if self.qualifier else self.column
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Literal:
     """A constant: int, float or str."""
 
@@ -39,21 +39,21 @@ class Literal:
         return isinstance(self.value, (int, float))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ValuePlaceholder:
     """The paper's ``?val`` (or ``?attr``/``?rel``) obscured slot."""
 
     name: str = "val"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Star:
     """``*`` or ``alias.*``."""
 
     qualifier: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FuncCall:
     """A function application, e.g. ``COUNT(DISTINCT p.pid)``."""
 
@@ -69,7 +69,7 @@ class FuncCall:
 AGGREGATE_FUNCTIONS = frozenset({"COUNT", "SUM", "AVG", "MIN", "MAX"})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Subquery:
     """A parenthesized SELECT used as an expression or IN source."""
 
@@ -84,7 +84,7 @@ Expr = Union[ColumnRef, Literal, ValuePlaceholder, Star, FuncCall, Subquery]
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OpPlaceholder:
     """The paper's ``?op`` obscured comparison operator."""
 
@@ -92,7 +92,7 @@ class OpPlaceholder:
 COMPARISON_OPS = frozenset({"=", "!=", "<>", "<", "<=", ">", ">=", "LIKE", "NOT LIKE"})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Comparison:
     """``left op right`` where op may be an obscured placeholder."""
 
@@ -101,14 +101,14 @@ class Comparison:
     right: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InPredicate:
     left: Expr
     values: tuple[Expr, ...]
     negated: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BetweenPredicate:
     left: Expr
     low: Expr
@@ -116,23 +116,23 @@ class BetweenPredicate:
     negated: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IsNullPredicate:
     left: Expr
     negated: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AndPredicate:
     children: tuple["Predicate", ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrPredicate:
     children: tuple["Predicate", ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NotPredicate:
     child: "Predicate"
 
@@ -174,13 +174,13 @@ def make_and(parts: list[Predicate]) -> Predicate | None:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SelectItem:
     expr: Expr
     alias: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TableRef:
     """A FROM-clause relation with an optional alias."""
 
@@ -193,13 +193,13 @@ class TableRef:
         return self.alias or self.table
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrderItem:
     expr: Expr
     descending: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Query:
     """A SELECT statement.
 

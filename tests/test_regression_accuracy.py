@@ -4,14 +4,16 @@ Everything in the harness is seeded, so the Table III numbers are exact
 constants; these tests pin them with a small tolerance band so honest
 refactors (that should not change behaviour) are distinguishable from
 accidental accuracy regressions.  If a deliberate calibration change
-moves the numbers, update the pins and EXPERIMENTS.md together.
+moves the numbers, rerun ``benchmarks/bench_table3_accuracy.py`` (it
+prints the full Table III) and update the pins from its output.
 """
 
 import pytest
 
 from repro.eval import EvalConfig, evaluate_system
 
-#: (dataset, system) -> (kw %, fq %), as recorded in EXPERIMENTS.md.
+#: (dataset, system) -> (kw %, fq %), as benchmarks/bench_table3_accuracy.py
+#: reports them.
 PINS = {
     ("mas", "Pipeline"): (32.5, 29.4),
     ("mas", "Pipeline+"): (94.3, 78.9),
