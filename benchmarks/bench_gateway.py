@@ -5,9 +5,9 @@ numbers of the multi-tenant gateway subsystem:
 
 * **consolidation** — aggregate HTTP throughput of one gateway hosting
   mas, yelp and imdb behind a single port, versus the same three
-  engines behind three separate single-engine servers (the in-process
-  stand-in for N separate processes: same handlers, same engines, one
-  port each).  Hosting everything in one process must not cost more
+  engines behind three separate one-tenant gateways, each what
+  ``repro serve`` runs (the in-process stand-in for N separate
+  processes: same handlers, same engines, one port each).  Hosting everything in one process must not cost more
   than a modest routing overhead.
 * **hot-reload blackout** — traffic is hammered at one tenant while a
   new artifact version is published and ``/admin/reload`` fires.  The
@@ -41,6 +41,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -52,7 +53,6 @@ from repro.datasets import load_dataset  # noqa: E402
 from repro.gateway import Gateway, GatewayConfig, make_gateway_server  # noqa: E402
 from repro.obs.prometheus import parse_exposition  # noqa: E402
 from repro.serving import ArtifactStore  # noqa: E402
-from repro.serving.http_server import make_server  # noqa: E402
 
 TENANTS = ("mas", "yelp", "imdb")
 NLQS = {
@@ -193,15 +193,11 @@ def bench_consolidation(store_root: Path, threads_per_tenant: int,
 
     separate_servers = []
     targets = []
-    from repro.api import Engine, EngineConfig
-
-    for name in TENANTS:
-        engine = Engine.from_config(EngineConfig(
-            dataset=name, log_source="artifacts", artifacts=str(store_root),
-        ))
-        server = make_server(engine=engine, port=0)
+    for name, tenant in config.tenants.items():
+        gateway = Gateway(replace(config, tenants={name: tenant})).start()
+        server = make_gateway_server(gateway, port=0)
         _serve(server)
-        separate_servers.append((server, engine))
+        separate_servers.append((server, gateway))
         targets.append(
             (server.server_address[1], "/translate", {"nlq": NLQS[name]})
         )
@@ -209,9 +205,9 @@ def bench_consolidation(store_root: Path, threads_per_tenant: int,
     separate_qps, separate_failures = _drive(
         targets, threads_per_tenant, requests_per_thread
     )
-    for server, engine in separate_servers:
+    for server, gateway in separate_servers:
         server.shutdown()
-        engine.close()
+        gateway.close()
     return (
         gateway_qps, separate_qps,
         gateway_failures + separate_failures, scrape,
@@ -490,7 +486,7 @@ def main() -> int:
     ratio = gateway_qps / separate_qps if separate_qps else 0.0
 
     rows = [
-        ["3 separate single-engine servers", f"{separate_qps:.0f} q/s", ""],
+        ["3 separate one-tenant gateways", f"{separate_qps:.0f} q/s", ""],
         ["one gateway, one port", f"{gateway_qps:.0f} q/s",
          f"{ratio:.2f}x of separate"],
         ["requests during reload hammer", str(len(results)),

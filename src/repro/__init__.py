@@ -20,7 +20,7 @@ See README.md for the architecture overview and EXPERIMENTS.md for the
 paper-versus-measured numbers.
 """
 
-__version__ = "1.8.0"
+__version__ = "1.9.0"
 
 __all__ = ["Engine", "EngineConfig", "__version__"]
 

@@ -34,7 +34,7 @@ import signal
 import sys
 import threading
 import time
-import warnings
+from dataclasses import replace
 
 from repro import __version__
 from repro.api import Engine, EngineConfig
@@ -309,24 +309,6 @@ def _check_serve_args(args: argparse.Namespace) -> None:
         )
 
 
-def _build_service(args: argparse.Namespace):
-    """Deprecated: manual (service, parser) assembly for ``repro serve``.
-
-    Kept as a thin shim over the Engine; use
-    ``Engine.from_config(EngineConfig(...))`` and read ``.service`` /
-    ``.parser`` off the engine instead.
-    """
-    warnings.warn(
-        "_build_service's manual assembly is deprecated; build the stack "
-        "with repro.api.Engine.from_config",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    _check_serve_args(args)
-    engine = Engine.from_config(_engine_config(args))
-    return engine.service, engine.parser
-
-
 def _install_sigterm_shutdown(server) -> None:
     """Make SIGTERM a graceful stop, not a kill.
 
@@ -347,19 +329,46 @@ def _install_sigterm_shutdown(server) -> None:
         pass  # not the main thread (embedded/test use); Ctrl-C still works
 
 
+def _serve_gateway_config(args: argparse.Namespace):
+    """``repro serve``'s flags as a gateway whose one tenant is the dataset.
+
+    The journal and the control plane sit on the gateway, not on the
+    tenant's engine; the tenant id is the dataset name, the same stamp
+    a single engine writes into journal records and control-plane rows.
+    """
+    from repro.gateway import GatewayConfig, TenantConfig
+
+    engine = replace(
+        _engine_config(args), journal_dir=None, control_plane_path=None
+    )
+    return GatewayConfig(
+        tenants={args.dataset: TenantConfig(engine=engine)},
+        journal_dir=args.journal,
+        control_plane_path=args.control_plane,
+    )
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
-    """Run the JSON translation endpoint for one dataset."""
-    from repro.serving import make_server
+    """Run the JSON translation endpoint for one dataset: a one-tenant gateway."""
+    from repro.gateway import Gateway, make_gateway_server
 
     _check_serve_args(args)
     if args.json_logs:
         from repro.obs.logs import configure_json_logging
 
         configure_json_logging()
-    engine = Engine.from_config(_engine_config(args))
-    server = make_server(
-        engine=engine, host=args.host, port=args.port, quiet=False
-    )
+    gateway = Gateway(_serve_gateway_config(args))
+    try:
+        # The engine is live before the banner: /translate answers as
+        # soon as the endpoint line appears.
+        gateway.start()
+        server = make_gateway_server(
+            gateway, host=args.host, port=args.port, quiet=False
+        )
+    except BaseException:
+        gateway.close()
+        raise
+    engine = gateway.host(args.dataset).engine
     host, port = server.server_address[:2]
     rows = [
         ("serving", f"{engine.nlidb.name} on {args.dataset.upper()}"),
@@ -368,21 +377,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ("stats", f"http://{host}:{port}/stats"),
         ("metrics", f"http://{host}:{port}/metrics"),
     ]
-    if engine.control_plane is not None:
+    if gateway.control_plane is not None:
         rows.append(("feedback", f"POST http://{host}:{port}/feedback"))
     print(format_kv(rows), flush=True)
-    _install_sigterm_shutdown(server)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        print("\nshutting down")
-    finally:
-        server.shutdown()
-        pending = engine.service.pending_observations
-        engine.close()
-        print(f"flushed {pending} pending observation(s) into the QFG",
-              flush=True)
-    return EXIT_OK
+    return _serve_until_stopped(gateway, server)
 
 
 def _cmd_gateway(args: argparse.Namespace) -> int:
@@ -406,9 +404,16 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
         ("stats", f"http://{host}:{port}/stats"),
         ("reload", f"POST http://{host}:{port}/admin/reload"),
     ]), flush=True)
+    return _serve_until_stopped(gateway, server)
 
-    # Engines warm up off the serve loop so the listener (and an honest
-    # /readyz) is up immediately; a failed warm-up stops the server.
+
+def _serve_until_stopped(gateway, server) -> int:
+    """Serve until Ctrl-C or SIGTERM, then flush observations and close.
+
+    Engines warm up off the serve loop so the listener (and an honest
+    /readyz) is up immediately; a failed warm-up stops the server.  On
+    an already started gateway the warm-up is a no-op.
+    """
     warmup_failure: list[ReproError] = []
 
     def _warm_up() -> None:
@@ -585,8 +590,8 @@ def _cmd_slo(args: argparse.Namespace) -> int:
                 payload = json.load(response)
         except (URLError, OSError, ValueError) as exc:
             raise ReproError(f"could not fetch {url}: {exc}") from exc
-        # The gateway nests per-tenant reports; the single-engine server
-        # returns one bare report.
+        # The gateway nests per-tenant reports; a bare report (served by
+        # `repro serve` before 1.9.0) counts as one tenant.
         reports = payload.get("tenants") if "tenants" in payload \
             else {"default": payload}
     else:
@@ -772,7 +777,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="seed for --generate")
 
     serve = sub.add_parser(
-        "serve", help="run the JSON translation HTTP endpoint"
+        "serve", help="run the JSON translation HTTP endpoint for one "
+                      "dataset (a one-tenant gateway)"
     )
     serve.add_argument("--dataset", choices=sorted(DATASET_BUILDERS),
                        default="mas")
@@ -856,8 +862,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="control-plane SQLite file (the serve/gateway "
                                "control_plane_path)")
     feedback.add_argument("--tenant", default="default",
-                          help="tenant the verdict belongs to (single-engine "
-                               "servers use their dataset name, e.g. 'mas')")
+                          help="tenant the verdict belongs to (`repro serve` "
+                               "uses its dataset name, e.g. 'mas')")
     feedback.add_argument("--verdict", required=True,
                           choices=("accept", "reject", "correct"))
     feedback.add_argument("--request-id", default=None, dest="request_id",

@@ -23,18 +23,20 @@ Endpoints::
                                   control plane is configured)
     POST /t/<tenant>/feedback     record accept/reject/correct on a prior
                                   response (requires control_plane_path)
+    POST /translate, /feedback    aliases of the two routes above on a
+                                  gateway with exactly one tenant (what
+                                  ``repro serve`` runs); 404 otherwise
     POST /admin/reload            {} for every tenant or {"tenant": "mas"};
                                   {"force": true} overrides a blocking
                                   shadow-canary verdict (422 otherwise)
 
-Status mapping is uniform with the single-engine endpoint
-(:mod:`repro.serving.http_server`), sharing its error envelope
-(``{"error": ..., "status": ...}``): 400 for malformed bodies or
-unsupported content types, 404 for unknown paths *and* unknown tenants,
-422 for translation failures, 429 when a tenant's admission limit is
-exhausted, 503 for a not-yet-ready gateway and for a *configured*
-tenant whose engine is still warming up (retryable, unlike the 404 an
-unknown tenant gets).
+Every route shares the error envelope of
+:mod:`repro.serving.http_common` (``{"error": ..., "status": ...}``):
+400 for malformed bodies or unsupported content types, 404 for unknown
+paths *and* unknown tenants, 422 for translation failures, 429 when a
+tenant's admission limit is exhausted, 503 for a not-yet-ready gateway
+and for a *configured* tenant whose engine is still warming up
+(retryable, unlike the 404 an unknown tenant gets).
 
 Built on ``http.server.ThreadingHTTPServer``: each request gets its own
 thread, so a tenant hot-swap (which happens on the reloader's or an
@@ -61,6 +63,9 @@ _TENANT_ROUTE = re.compile(r"^/t/([^/]+)/(translate|feedback|stats|healthz)$")
 
 #: Tenant sub-paths that only accept POST.
 _POST_ONLY = ("translate", "feedback")
+
+#: Unprefixed POST routes a one-tenant gateway routes to its tenant.
+_ALIASES = ("/translate", "/feedback")
 
 #: Fields accepted by ``POST /admin/reload``.
 _RELOAD_FIELDS = ("tenant", "force")
@@ -147,8 +152,10 @@ class GatewayRequestHandler(JSONRequestHandlerMixin):
                         EXPOSITION_CONTENT_TYPE,
                     )
             elif path == "/admin/traces":
-                tenant = query.get("tenant", [None])[0]
-                traces = gateway.traces(tenant=tenant)
+                traces = gateway.traces(
+                    tenant=query.get("tenant", [None])[0],
+                    trace_id=query.get("id", [None])[0],
+                )
                 self._send_json(
                     200, {"count": len(traces), "traces": traces}
                 )
@@ -187,13 +194,20 @@ class GatewayRequestHandler(JSONRequestHandlerMixin):
             self._handle_reload()
             return
         match = _TENANT_ROUTE.match(path)
-        if match is None or match.group(2) not in _POST_ONLY:
+        if match is not None and match.group(2) in _POST_ONLY:
+            tenant, route = match.groups()
+        elif path in _ALIASES and len(self.server.gateway.hosts) == 1:
+            # A one-tenant gateway (``repro serve``) also answers the
+            # unprefixed routes; with several tenants they stay 404.
+            [tenant] = self.server.gateway.hosts
+            route = path[1:]
+        else:
             self._send_error_json(404, f"unknown path {path!r}")
             return
-        if match.group(2) == "feedback":
-            self._handle_feedback(match.group(1))
+        if route == "feedback":
+            self._handle_feedback(tenant)
         else:
-            self._handle_translate(match.group(1))
+            self._handle_translate(tenant)
 
     # ------------------------------------------------------------ handlers
 
@@ -235,7 +249,7 @@ class GatewayRequestHandler(JSONRequestHandlerMixin):
         return 200, response.to_payload()
 
     def _check_observable(self, host) -> None:
-        """Same learning-availability contract as the single-engine server."""
+        """Refuse ``observe`` when nothing would ever learn from it."""
         engine = host.engine
         if engine.templar is None:
             raise ServingError(
@@ -287,11 +301,16 @@ class GatewayRequestHandler(JSONRequestHandlerMixin):
         return 200, {"reloads": [result.as_dict() for result in results]}
 
     def _has_body(self) -> bool:
-        """Reload accepts an empty body as 'reload every tenant'."""
+        """Reload accepts an empty body as 'reload every tenant'.
+
+        Only an absent or zero ``Content-Length`` means empty; anything
+        else, malformed or negative included, goes to
+        :meth:`_read_json_body` and its uniform 400.
+        """
         try:
-            return int(self.headers.get("Content-Length", 0)) > 0
+            return int(self.headers.get("Content-Length", 0)) != 0
         except ValueError:
-            return True  # let _read_json_body raise the uniform 400
+            return True
 
 
 def make_gateway_server(

@@ -14,11 +14,9 @@ sit behind traffic:
   queries.
 * :mod:`repro.serving.cache` / :mod:`repro.serving.telemetry` — the
   thread-safe LRU cache and the latency/QPS/counter registry behind it.
-* :mod:`repro.serving.http_server` — a stdlib-only JSON endpoint
-  (``repro serve`` wires it to a dataset).
 * :mod:`repro.serving.http_common` — request decoding and the uniform
-  error envelope shared with the multi-tenant gateway
-  (:mod:`repro.gateway`).
+  error envelope of the HTTP endpoint, which is the gateway's
+  (:mod:`repro.gateway.http`; ``repro serve`` runs it with one tenant).
 """
 
 from repro.serving.artifacts import (
@@ -31,7 +29,6 @@ from repro.serving.artifacts import (
 )
 from repro.serving.cache import CacheStats, LRUCache
 from repro.serving.http_common import error_envelope
-from repro.serving.http_server import ServingHTTPServer, make_server
 from repro.serving.service import (
     CachingJoinPathGenerator,
     CachingKeywordMapper,
@@ -51,7 +48,6 @@ __all__ = [
     "LatencySummary",
     "MetricsRegistry",
     "ServingArtifacts",
-    "ServingHTTPServer",
     "TranslationRequest",
     "TranslationResponse",
     "TranslationService",
@@ -60,7 +56,6 @@ __all__ = [
     "error_envelope",
     "join_graph_from_dict",
     "join_graph_to_dict",
-    "make_server",
     "percentile",
     "resolve_request_keywords",
     "translate_request",

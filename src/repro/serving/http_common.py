@@ -1,9 +1,8 @@
-"""HTTP plumbing shared by the single-engine and gateway endpoints.
+"""HTTP plumbing for the JSON endpoint of the gateway.
 
-Both ``repro serve`` (:mod:`repro.serving.http_server`) and the
-multi-tenant gateway (:mod:`repro.gateway.http`) answer JSON over
-``http.server``.  This module keeps their request decoding and error
-shapes identical:
+The gateway (:mod:`repro.gateway.http`) answers JSON over
+``http.server``; ``repro serve`` runs it with one tenant.  This module
+keeps request decoding and error shapes identical across its routes:
 
 * :func:`error_envelope` — the uniform error body every route returns
   (``{"error": <message>, "status": <code>}``), so clients parse one
@@ -113,14 +112,13 @@ class JSONRequestHandlerMixin(BaseHTTPRequestHandler):
     ) -> None:
         """Run one route and apply the uniform error -> status mapping.
 
-        ``route`` returns ``(status, payload)``; every serving endpoint
-        funnels through here so the mapping cannot drift between the
-        single-engine server and the gateway: 429 admission overflow,
-        409 idempotency-key reuse with a different body, 404 unknown
-        tenant, 400 client mistakes (malformed body, bad fields,
-        unsupported content type), 422 operational failures (prefixed
-        with ``repro_error_prefix``), 500 (JSON, then re-raised) for
-        wiring bugs.  Order matters: ``AdmissionError`` and
+        ``route`` returns ``(status, payload)``; every route funnels
+        through here so the mapping cannot drift between routes: 429
+        admission overflow, 409 idempotency-key reuse with a different
+        body, 404 unknown tenant, 400 client mistakes (malformed body,
+        bad fields, unsupported content type), 422 operational failures
+        (prefixed with ``repro_error_prefix``), 500 (JSON, then
+        re-raised) for wiring bugs.  Order matters: ``AdmissionError`` and
         ``IdempotencyError`` subclass ``ServingError`` and
         ``GatewayError``/``ServingError`` subclass ``ReproError``.
         """
@@ -156,11 +154,7 @@ class JSONRequestHandlerMixin(BaseHTTPRequestHandler):
             pass  # client disconnected before reading the response
 
     def _logs_query_params(self, query: dict) -> tuple[str, int]:
-        """Decode ``/admin/logs/query``'s ``?nlq=`` and ``?limit=`` params.
-
-        Shared by the single-engine and gateway servers so the
-        self-analytics route validates identically on both.
-        """
+        """Decode ``/admin/logs/query``'s ``?nlq=`` and ``?limit=`` params."""
         nlq = query.get("nlq", [None])[0]
         if not nlq or not nlq.strip():
             raise ServingError(
@@ -186,7 +180,9 @@ class JSONRequestHandlerMixin(BaseHTTPRequestHandler):
             length = int(self.headers.get("Content-Length", 0))
         except ValueError as exc:
             raise ServingError("Content-Length header must be an integer") from exc
-        if length <= 0:
+        if length < 0:
+            raise ServingError("Content-Length header must not be negative")
+        if length == 0:
             raise ServingError("request body is required")
         if length > MAX_BODY_BYTES:
             raise ServingError(f"request body exceeds {MAX_BODY_BYTES} bytes")

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
+
 import pytest
 
+from repro.api import Engine, EngineConfig
 from repro.core import QueryLog, Templar
 from repro.db import Catalog, Column, ColumnType, Database, ForeignKey, TableSchema
 from repro.embedding import CompositeModel, Lexicon
@@ -107,6 +111,68 @@ def build_mini_log() -> QueryLog:
     for _ in range(2):
         log.add("SELECT j.name FROM journal j")
     return log
+
+
+def engine_from_service(service, *, parser=None) -> Engine:
+    """Hand-built serving parts over the mini schema, as an Engine.
+
+    The direct constructor keeps the service exactly as the test built
+    it (its NLIDB, Templar, journal and SLO policy).
+    """
+    from repro.datasets.base import BenchmarkDataset
+    from repro.nlidb.registry import get_backend
+
+    return Engine(
+        EngineConfig(dataset="mini", log_source="none"),
+        dataset=BenchmarkDataset(
+            name="mini",
+            database=service.nlidb.database,
+            items=[],
+            lexicon=build_mini_lexicon(),
+        ),
+        backend=get_backend("pipeline+"),
+        nlidb=service.nlidb,
+        service=service,
+        parser=parser,
+        templar=service.templar,
+    )
+
+
+@contextmanager
+def one_tenant_gateway(engine, *, tenant: str | None = None, **options):
+    """A live gateway on a free port with one tenant: what `repro serve` runs.
+
+    ``engine`` is a built :class:`Engine` (handed in through
+    ``engine_factories`` and closed with the gateway) or an
+    :class:`EngineConfig` (the gateway builds it).  The tenant id
+    defaults to the dataset name; ``options`` are further
+    ``GatewayConfig`` fields.  Yields ``(gateway, port)``.
+    """
+    from repro.gateway import (
+        Gateway,
+        GatewayConfig,
+        TenantConfig,
+        make_gateway_server,
+    )
+
+    built = isinstance(engine, Engine)
+    engine_config = engine.config if built else engine
+    tenant = tenant or engine_config.dataset
+    gateway = Gateway(
+        GatewayConfig(
+            tenants={tenant: TenantConfig(engine=engine_config)}, **options
+        ),
+        engine_factories={tenant: lambda: engine} if built else None,
+    )
+    server = make_gateway_server(gateway, port=0)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    gateway.start()
+    try:
+        yield gateway, server.server_address[1]
+    finally:
+        server.shutdown()
+        server.server_close()
+        gateway.close()
 
 
 @pytest.fixture()

@@ -23,6 +23,27 @@ class TestWarmupCommand:
         assert "v1" in capsys.readouterr().out
 
 
+class TestServeConfig:
+    def test_serve_flags_map_onto_a_one_tenant_gateway(self, tmp_path):
+        from repro.cli import _serve_gateway_config, build_parser
+
+        args = build_parser().parse_args([
+            "serve", "--dataset", "yelp", "--learn-batch", "8",
+            "--journal", str(tmp_path / "journal"),
+            "--control-plane", str(tmp_path / "cp.db"),
+        ])
+        config = _serve_gateway_config(args)
+        assert list(config.tenants) == ["yelp"]
+        assert config.journal_dir == str(tmp_path / "journal")
+        assert config.control_plane_path == str(tmp_path / "cp.db")
+        engine = config.tenants["yelp"].engine
+        assert engine.journal_dir is None
+        assert engine.control_plane_path is None
+        assert engine.dataset == "yelp"
+        assert engine.learn_batch_size == 8
+        assert config.tenants["yelp"].max_in_flight == 64
+
+
 class TestHardenedErrors:
     def test_unknown_dataset_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit):

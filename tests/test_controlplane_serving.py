@@ -1,4 +1,4 @@
-"""Control plane wired through engines, the gateway, and the HTTP servers.
+"""Control plane wired through engines, the gateway, and its HTTP server.
 
 The replica-shaped correctness battery: a request warmed by engine A
 hits durably on engine B; an idempotent retry contributes exactly zero
@@ -21,7 +21,8 @@ import pytest
 from repro.api import Engine, EngineConfig
 from repro.errors import ConfigError, IdempotencyError
 from repro.gateway import Gateway, GatewayConfig, make_gateway_server
-from repro.serving import make_server
+
+from tests.conftest import one_tenant_gateway
 
 NLQ = "return the papers after 2000"
 
@@ -345,19 +346,16 @@ class TestObservability:
 
 
 class TestSingleEngineHTTP:
+    """The unprefixed routes ``repro serve`` answers (one-tenant gateway)."""
+
     @pytest.fixture()
     def server_port(self, tmp_path):
-        engine = Engine.from_config(
-            _config(tmp_path, journal_dir=str(tmp_path / "journal"))
-        )
-        server = make_server(engine=engine, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            yield server.server_address[1]
-        finally:
-            server.shutdown()
-            engine.close()
+        with one_tenant_gateway(
+            EngineConfig(dataset="mas"),
+            journal_dir=str(tmp_path / "journal"),
+            control_plane_path=str(tmp_path / "cp.db"),
+        ) as (_, port):
+            yield port
 
     def test_feedback_endpoint_round_trip(self, server_port):
         status, body = _post(server_port, "/translate", {"nlq": NLQ})
@@ -394,20 +392,12 @@ class TestSingleEngineHTTP:
         assert status == 400
 
     def test_feedback_without_plane_is_400(self, tmp_path):
-        engine = Engine.from_config(EngineConfig(dataset="mas"))
-        server = make_server(engine=engine, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
+        with one_tenant_gateway(EngineConfig(dataset="mas")) as (_, port):
             status, body = _post(
-                server.server_address[1], "/feedback",
-                {"verdict": "reject", "sql": "x"},
+                port, "/feedback", {"verdict": "reject", "sql": "x"}
             )
             assert status == 400
             assert "control plane" in body["error"]
-        finally:
-            server.shutdown()
-            engine.close()
 
 
 class TestGatewayHTTP:

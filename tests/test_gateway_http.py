@@ -209,6 +209,36 @@ class TestHealthAndStats:
         assert everything["count"] >= payload["count"]
         assert _get(port, "/admin/traces?tenant=enron")[0] == 404
 
+    def test_admin_traces_filters_by_trace_id(self, gateway_port):
+        _, port = gateway_port
+        _post(port, "/t/mas/translate", {"nlq": NLQS["mas"]})
+        status, body = _post(port, "/t/yelp/translate", {"nlq": NLQS["yelp"]})
+        assert status == 200
+        trace_id = body["provenance"]["trace_id"]
+        status, payload = _get(port, f"/admin/traces?id={trace_id}")
+        assert status == 200
+        assert payload["count"] == 1
+        [trace] = payload["traces"]
+        assert trace["trace_id"] == trace_id
+        assert trace["tenant"] == "yelp"
+
+    def test_admin_traces_unknown_trace_id_is_empty(self, gateway_port):
+        _, port = gateway_port
+        _post(port, "/t/mas/translate", {"nlq": NLQS["mas"]})
+        assert _get(port, "/admin/traces")[1]["count"] >= 1
+        status, payload = _get(port, "/admin/traces?id=nope")
+        assert status == 200
+        assert payload == {"count": 0, "traces": []}
+
+    def test_unprefixed_routes_are_404_with_several_tenants(
+        self, gateway_port
+    ):
+        _, port = gateway_port
+        for path in ("/translate", "/feedback"):
+            status, body = _post(port, path, {"nlq": NLQS["mas"]})
+            assert status == 404, path
+            assert body["status"] == 404
+
     def test_observe_queues_for_the_scheduler(self, gateway_port):
         gateway, port = gateway_port
         before = gateway.host("mas").engine.service.pending_observations
@@ -304,6 +334,39 @@ class TestAdminReload:
         status, body = _post(port, "/admin/reload", {"tenant": 7})
         assert status == 400
         assert "tenant" in body["error"]
+
+    def test_reload_negative_content_length_is_400_and_reloads_nothing(
+        self, gateway_port
+    ):
+        import http.client
+
+        gateway, port = gateway_port
+        before = {t: h.reload_count for t, h in gateway.hosts.items()}
+        connection = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+        try:
+            connection.putrequest("POST", "/admin/reload")
+            connection.putheader("Content-Length", "-1")
+            connection.endheaders()
+            response = connection.getresponse()
+            body = json.loads(response.read())
+        finally:
+            connection.close()
+        assert response.status == 400
+        assert body == {
+            "error": "Content-Length header must not be negative",
+            "status": 400,
+        }
+        assert {t: h.reload_count for t, h in gateway.hosts.items()} == before
+
+    def test_reload_empty_body_reloads_every_tenant(self, gateway_port):
+        gateway, port = gateway_port
+        before = {t: h.reload_count for t, h in gateway.hosts.items()}
+        status, body = _post(port, "/admin/reload", b"", content_type=None)
+        assert status == 200
+        assert {entry["tenant"] for entry in body["reloads"]} == set(before)
+        assert {t: h.reload_count for t, h in gateway.hosts.items()} == {
+            t: count + 1 for t, count in before.items()
+        }
 
 
 class TestWarmupIs503:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import threading
 import types
 import urllib.request
 
@@ -20,6 +19,8 @@ from repro.obs.journal import RequestJournal, replay_journal
 from repro.obs.prometheus import parse_exposition
 from repro.obs.slo import SLOPolicy
 from repro.serving import MetricsRegistry
+
+from tests.conftest import engine_from_service, one_tenant_gateway
 
 
 class Result:
@@ -288,7 +289,7 @@ class TestTailRequests:
 def slo_server(mini_db, mini_model, mini_log, tmp_path):
     from repro.core import Templar
     from repro.nlidb import PipelineNLIDB
-    from repro.serving import TranslationService, make_server
+    from repro.serving import TranslationService
 
     templar = Templar(mini_db, mini_model, mini_log)
     nlidb = PipelineNLIDB(mini_db, mini_model, templar)
@@ -298,19 +299,14 @@ def slo_server(mini_db, mini_model, mini_log, tmp_path):
         slo=SLOPolicy(latency_p99_ms=5000.0, error_rate=0.5),
         drift_threshold=0.3,
     )
-    http_server = make_server(service, port=0)
-    thread = threading.Thread(target=http_server.serve_forever, daemon=True)
-    thread.start()
     try:
-        yield http_server
+        with one_tenant_gateway(engine_from_service(service)) as (_, port):
+            yield port
     finally:
-        http_server.shutdown()
-        service.close()
         journal.close()
 
 
-def _get(server, path):
-    port = server.server_address[1]
+def _get(port, path):
     with urllib.request.urlopen(f"http://127.0.0.1:{port}{path}") as resp:
         return resp.status, resp.headers.get("Content-Type", ""), resp.read()
 
@@ -319,7 +315,7 @@ class TestSLOEndpoint:
     def test_slo_reports_the_configured_objectives(self, slo_server):
         status, content_type, body = _get(slo_server, "/slo")
         assert status == 200 and content_type.startswith("application/json")
-        report = json.loads(body)
+        report = json.loads(body)["tenants"]["mini"]
         assert report["configured"] is True
         names = {o["objective"] for o in report["objectives"]}
         assert names == {"latency_p99_ms", "error_rate"}

@@ -1,15 +1,15 @@
 """Observability over HTTP: /metrics scrape pages and /admin/traces.
 
 These ride the same stdlib-client-against-live-server pattern as
-test_serving_http.py, but focus on the operator surface: the Prometheus
-content type, scrape-parseability, error-type counters, and retrieving
-the trace a translate response advertised in its provenance.
+test_serving_http.py (a one-tenant gateway, what ``repro serve`` runs),
+but focus on the operator surface: the Prometheus content type,
+scrape-parseability, error-type counters, and retrieving the trace a
+translate response advertised in its provenance.
 """
 
 from __future__ import annotations
 
 import json
-import threading
 import urllib.error
 import urllib.request
 
@@ -19,7 +19,9 @@ from repro.api import Engine, EngineConfig
 from repro.core import Templar
 from repro.nlidb import NalirParser, PipelineNLIDB
 from repro.obs.prometheus import parse_exposition
-from repro.serving import TranslationService, make_server
+from repro.serving import TranslationService
+
+from tests.conftest import engine_from_service, one_tenant_gateway
 
 
 @pytest.fixture()
@@ -29,18 +31,13 @@ def engine_server(mini_db, mini_model, mini_log):
     service = TranslationService(nlidb, max_workers=2)
     parser = NalirParser(mini_db, ["papers", "journals", "authors"],
                          simulate_failures=False)
-    http_server = make_server(service, port=0, parser=parser)
-    thread = threading.Thread(target=http_server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        yield http_server
-    finally:
-        http_server.shutdown()
-        service.close()
+    with one_tenant_gateway(
+        engine_from_service(service, parser=parser)
+    ) as (_, port):
+        yield port
 
 
-def _get_raw(server, path: str):
-    port = server.server_address[1]
+def _get_raw(port: int, path: str):
     with urllib.request.urlopen(f"http://127.0.0.1:{port}{path}") as response:
         return (
             response.status,
@@ -49,8 +46,7 @@ def _get_raw(server, path: str):
         )
 
 
-def _post(server, path: str, payload: dict):
-    port = server.server_address[1]
+def _post(port: int, path: str, payload: dict):
     request = urllib.request.Request(
         f"http://127.0.0.1:{port}{path}",
         data=json.dumps(payload).encode("utf-8"),
@@ -77,7 +73,8 @@ class TestMetricsScrape:
         _post(engine_server, "/translate", PAYLOAD)
         _, _, page = _get_raw(engine_server, "/metrics")
         samples = parse_exposition(page)
-        [(_, requests)] = samples["repro_requests_total"]
+        [(labels, requests)] = samples["repro_requests_total"]
+        assert labels == {"tenant": "mini"}
         assert requests >= 2
         counts = samples["repro_translate_latency_seconds_count"]
         assert counts[0][1] >= 2
@@ -104,27 +101,21 @@ class TestMetricsScrape:
             raise RuntimeError("wiring bug")
 
         nlidb.translate = explode
-        http_server = make_server(service, port=0)
-        thread = threading.Thread(target=http_server.serve_forever, daemon=True)
-        thread.start()
-        try:
+        with one_tenant_gateway(engine_from_service(service)) as (_, port):
             status, _ = _post(
-                http_server, "/translate",
+                port, "/translate",
                 {"keywords": [{"text": "papers", "context": "SELECT"}]},
             )
             assert status == 500
             assert service.metrics.counter(
                 "translate_errors", labels={"type": "RuntimeError"}
             ) == 1
-            _, _, page = _get_raw(http_server, "/metrics")
+            _, _, page = _get_raw(port, "/metrics")
             [(labels, value)] = parse_exposition(page)[
                 "repro_translate_errors_total"
             ]
-            assert labels == {"type": "RuntimeError"}
+            assert labels == {"tenant": "mini", "type": "RuntimeError"}
             assert value == 1.0
-        finally:
-            http_server.shutdown()
-            service.close()
 
 
 class TestAdminTraces:
@@ -139,6 +130,7 @@ class TestAdminTraces:
         assert payload["count"] == 1
         trace = payload["traces"][0]
         assert trace["trace_id"] == trace_id
+        assert trace["tenant"] == "mini"
         assert trace["spans"]["name"] == "request"
         stage_names = [span["name"] for span in trace["spans"]["children"]]
         assert "translate" in stage_names

@@ -6,7 +6,6 @@ import datetime
 import json
 import subprocess
 import sys
-import threading
 import urllib.error
 import urllib.request
 from pathlib import Path
@@ -25,6 +24,8 @@ from repro.obs.selfquery import (
     normalize_nlq,
     telemetry_catalog,
 )
+
+from tests.conftest import one_tenant_gateway
 
 TODAY = datetime.date(2026, 8, 7)
 
@@ -220,20 +221,10 @@ def _get(port: int, path: str):
 class TestHTTPSelfQuery:
     @pytest.fixture()
     def journaled_server(self, tmp_path):
-        from repro.serving import make_server
-
-        engine = Engine.from_config(
-            EngineConfig(dataset="mas", journal_dir=str(tmp_path / "j"))
-        )
-        server = make_server(engine=engine, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            yield engine, server.server_address[1]
-        finally:
-            server.shutdown()
-            server.server_close()
-            engine.close()
+        with one_tenant_gateway(
+            EngineConfig(dataset="mas"), journal_dir=str(tmp_path / "j")
+        ) as (gateway, port):
+            yield gateway.host("mas").engine, port
 
     def test_admin_logs_query_round_trip(self, journaled_server):
         engine, port = journaled_server
@@ -274,21 +265,10 @@ class TestHTTPSelfQuery:
         assert "nlq" in body["error"]
 
     def test_unjournaled_server_is_400(self):
-        from repro.serving import make_server
-
-        engine = Engine.from_config(EngineConfig(dataset="mas"))
-        server = make_server(engine=engine, port=0)
-        port = server.server_address[1]
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
+        with one_tenant_gateway(EngineConfig(dataset="mas")) as (_, port):
             status, body = _get(port, "/admin/logs/query?nlq=x")
             assert status == 400
             assert "journal" in body["error"]
-        finally:
-            server.shutdown()
-            server.server_close()
-            engine.close()
 
     def test_empty_journal_is_422(self, journaled_server):
         _, port = journaled_server

@@ -1,9 +1,12 @@
-"""HTTP endpoint and wire-format tests (stdlib client against a live server)."""
+"""HTTP endpoint and wire-format tests (stdlib client against a live server).
+
+The server is what ``repro serve`` runs: a gateway with one tenant,
+answering the unprefixed ``/translate`` route.
+"""
 
 from __future__ import annotations
 
 import json
-import threading
 import urllib.error
 import urllib.request
 
@@ -13,8 +16,10 @@ from repro.core import Keyword, KeywordMetadata, Templar
 from repro.core.fragments import FragmentContext
 from repro.errors import ServingError
 from repro.nlidb import NalirParser, PipelineNLIDB
-from repro.serving import TranslationService, make_server
+from repro.serving import TranslationService
 from repro.serving.wire import keyword_from_dict, keyword_to_dict
+
+from tests.conftest import engine_from_service, one_tenant_gateway
 
 
 class TestWireFormat:
@@ -66,24 +71,25 @@ def server(mini_db, mini_model, mini_log):
     service = TranslationService(nlidb, max_workers=2, learn_batch_size=64)
     parser = NalirParser(mini_db, ["papers", "journals", "authors"],
                          simulate_failures=False)
-    http_server = make_server(service, port=0, parser=parser)
-    thread = threading.Thread(target=http_server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        yield http_server
-    finally:
-        http_server.shutdown()
-        service.close()
+    with one_tenant_gateway(
+        engine_from_service(service, parser=parser)
+    ) as (gateway, port):
+        yield gateway, port
+
+
+def _serve(service):
+    """A one-tenant gateway over a bare service (no NLQ parser)."""
+    return one_tenant_gateway(engine_from_service(service))
 
 
 def _get(server, path: str):
-    port = server.server_address[1]
+    _, port = server
     with urllib.request.urlopen(f"http://127.0.0.1:{port}{path}") as response:
         return response.status, json.loads(response.read())
 
 
 def _post(server, path: str, payload: dict):
-    port = server.server_address[1]
+    _, port = server
     request = urllib.request.Request(
         f"http://127.0.0.1:{port}{path}",
         data=json.dumps(payload).encode("utf-8"),
@@ -109,7 +115,9 @@ class TestEndpoints:
         status, body = _get(server, "/healthz")
         assert status == 200
         assert body["status"] == "ok"
-        assert body["system"] == "Pipeline+"
+        assert body["tenants"] == 1
+        status, body = _get(server, "/stats")
+        assert body["tenants"]["mini"]["engine"]["system"] == "Pipeline+"
 
     def test_translate_keywords(self, server):
         status, body = _post(server, "/translate", KEYWORD_PAYLOAD)
@@ -138,24 +146,26 @@ class TestEndpoints:
         _post(server, "/translate", KEYWORD_PAYLOAD)
         status, stats = _get(server, "/stats")
         assert status == 200
-        assert stats["metrics"]["counters"]["requests"] >= 2
+        engine_stats = stats["tenants"]["mini"]["engine"]
+        assert engine_stats["metrics"]["counters"]["requests"] >= 2
         translate_cache = next(
-            c for c in stats["caches"] if c["name"] == "translate"
+            c for c in engine_stats["caches"] if c["name"] == "translate"
         )
         assert translate_cache["hits"] >= 1
 
         status, metrics = _get(server, "/metrics?format=json")
         assert status == 200
-        assert metrics["latencies"]["translate"]["count"] >= 2
+        assert metrics["latencies"]["gateway_translate"]["count"] >= 2
 
     def test_observe_flag_queues_learning(self, server):
         payload = dict(KEYWORD_PAYLOAD, observe=True)
         status, _ = _post(server, "/translate", payload)
         assert status == 200
-        assert server.service.pending_observations == 1
+        gateway, _ = server
+        assert gateway.host("mini").engine.service.pending_observations == 1
 
     def test_unsupported_content_type_is_400(self, server):
-        port = server.server_address[1]
+        _, port = server
         request = urllib.request.Request(
             f"http://127.0.0.1:{port}/translate",
             data=json.dumps(KEYWORD_PAYLOAD).encode("utf-8"),
@@ -169,7 +179,7 @@ class TestEndpoints:
         assert body["status"] == 400
 
     def test_json_content_type_with_charset_accepted(self, server):
-        port = server.server_address[1]
+        _, port = server
         request = urllib.request.Request(
             f"http://127.0.0.1:{port}/translate",
             data=json.dumps(KEYWORD_PAYLOAD).encode("utf-8"),
@@ -186,7 +196,7 @@ class TestEndpoints:
         assert body["status"] == 400
 
     def test_bad_json_is_400(self, server):
-        port = server.server_address[1]
+        _, port = server
         request = urllib.request.Request(
             f"http://127.0.0.1:{port}/translate",
             data=b"{not json",
@@ -224,18 +234,12 @@ class TestEndpoints:
         templar = Templar(mini_db, mini_model, mini_log)
         nlidb = PipelineNLIDB(mini_db, mini_model, templar)
         service = TranslationService(nlidb, max_workers=1)  # no learn batch
-        http_server = make_server(service, port=0)
-        thread = threading.Thread(target=http_server.serve_forever, daemon=True)
-        thread.start()
-        try:
+        with _serve(service) as http_server:
             status, body = _post(
                 http_server, "/translate", dict(KEYWORD_PAYLOAD, observe=True)
             )
             assert status == 400
-            assert "--learn-batch" in body["error"]
-        finally:
-            http_server.shutdown()
-            service.close()
+            assert "learn_batch_size" in body["error"]
 
     def test_non_boolean_observe_is_400(self, server):
         status, body = _post(
@@ -259,7 +263,7 @@ class TestEndpoints:
     def test_bad_content_length_is_400(self, server):
         import http.client
 
-        port = server.server_address[1]
+        _, port = server
         connection = http.client.HTTPConnection("127.0.0.1", port, timeout=5)
         try:
             connection.putrequest("POST", "/translate", skip_host=False)
@@ -276,20 +280,12 @@ class TestEndpoints:
     ):
         nlidb = PipelineNLIDB(mini_db, mini_model, None)
         service = TranslationService(nlidb, max_workers=1)
-        http_server = make_server(service, port=0)
-        thread = threading.Thread(
-            target=http_server.serve_forever, daemon=True
-        )
-        thread.start()
-        try:
+        with _serve(service) as http_server:
             status, body = _post(
                 http_server, "/translate", dict(KEYWORD_PAYLOAD, observe=True)
             )
             assert status == 400
             assert "Templar" in body["error"]
-        finally:
-            http_server.shutdown()
-            service.close()
 
     def test_unexpected_exception_is_500_json(
         self, mini_db, mini_model, mini_log
@@ -302,16 +298,10 @@ class TestEndpoints:
             raise RuntimeError("wiring bug")
 
         nlidb.translate = explode
-        http_server = make_server(service, port=0)
-        thread = threading.Thread(target=http_server.serve_forever, daemon=True)
-        thread.start()
-        try:
+        with _serve(service) as http_server:
             status, body = _post(http_server, "/translate", KEYWORD_PAYLOAD)
             assert status == 500
             assert "RuntimeError" in body["error"]
-        finally:
-            http_server.shutdown()
-            service.close()
 
     def test_unknown_path_is_404(self, server):
         status, body = _post(server, "/nope", {})
